@@ -21,7 +21,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.apps.covar import CovarMatrix
 from repro.core.join_tree import JoinTree
 
 
@@ -100,13 +99,6 @@ def closed_form_materialized(
 
 def rmse(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
     return float(np.sqrt(np.mean((X @ theta - y) ** 2)))
-
-
-def theta_from_covar(cm: CovarMatrix, theta: np.ndarray, label: str) -> np.ndarray:
-    """Reorder an LMFAO-learned parameter vector into one_hot column order
-    (they already coincide: intercept, cont, cats in order) — identity hook
-    kept for clarity in comparisons."""
-    return theta
 
 
 # ---------------------------------------------------------------------------

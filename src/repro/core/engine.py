@@ -95,16 +95,9 @@ class LMFAO:
         plan: Plan,
         *,
         parallel: bool = True,
-        max_workers: int = 4,
     ) -> RunResult:
         return execute(
-            spark,
-            relations,
-            plan.tree,
-            plan.views,
-            plan.grouping,
-            parallel=parallel,
-            max_workers=max_workers,
+            spark, relations, plan.tree, plan.views, plan.grouping, parallel=parallel
         )
 
 

@@ -6,8 +6,10 @@ actually used), hash-join the incoming views on the edge join keys, then one
 single pass — the Spark analog of LMFAO's multi-output plan (one scan, many
 aggregates, Tungsten whole-stage codegen standing in for the generated C++;
 see DESIGN.md "substitutions"). Within a group, views that share the same
-incoming-view set also share a persisted base join, so the scan+join work is
-not repeated.
+incoming-view set and source columns also share a persisted base join, so
+the scan+join work is not repeated. View merging already folds most such
+views into one, so this fires only where merging cannot: the query views of
+sibling nodes in a multi-node tree level, and ``merge_views=False`` plans.
 
 Parallelization: groups within a wave are submitted from a thread pool —
 Spark's scheduler runs their jobs concurrently; domain parallelism comes from
@@ -24,6 +26,9 @@ from pyspark.sql import functions as F
 from repro.core.group import Grouping
 from repro.core.join_tree import JoinTree
 from repro.core.views import Atom, ViewDef
+
+#: Threads submitting the Spark jobs of one wave.
+POOL_WORKERS = 4
 
 
 @dataclass
@@ -111,7 +116,6 @@ def execute(
     grouping: Grouping,
     *,
     parallel: bool = True,
-    max_workers: int = 4,
 ) -> RunResult:
     """Materialize all views wave by wave; returns the forced query results."""
     mat: dict[int, DataFrame] = {}
@@ -159,7 +163,7 @@ def execute(
                     results[v.query_name or v.col(0)] = out
         # force the wave: later waves read these views from cache
         if parallel and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            with ThreadPoolExecutor(max_workers=POOL_WORKERS) as pool:
                 list(pool.map(lambda df: df.count(), pending))
         else:
             for df in pending:

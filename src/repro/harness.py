@@ -1,11 +1,10 @@
 """Experiment harness: builds every evaluation-table row (paper §4).
 
 Each ``tableN_rows`` function measures one paper table and returns rows as
-dicts; ``jobs/tableN_*.py`` are thin spark-submit wrappers and
-``benchmarks/bench_tableN.py`` re-times selected cells under
-pytest-benchmark. Timing protocol: relations are generated and cached
-(caches warmed by a count), then each system is timed once on the warm cache
-— the analog of the paper's warm-cache averaging, scaled to laptop runtimes.
+dicts; ``jobs/tableN_*.py`` are thin spark-submit wrappers. Timing protocol:
+relations are generated and cached (caches warmed by a count), then each
+system is timed once on the warm cache — the analog of the paper's warm-cache
+averaging, scaled to laptop runtimes.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.apps.covar import assemble_covar, covar_queries, design_matrix
 from repro.apps.dtree import compute_thresholds, learn_tree
-from repro.apps.linreg import learn_bgd, learn_closed_form
+from repro.apps.linreg import learn_bgd
 from repro.baselines.duckdb_batch import run_per_query_duckdb
 from repro.baselines.ml_baselines import (
     closed_form_materialized,
@@ -34,16 +33,36 @@ from repro.datasets import all_datasets
 from repro.datasets.common import DatasetSpec
 from repro.workloads import WORKLOADS, build_workload
 
-BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
+#: Scale factor of the paper-table jobs (``--sf`` overrides it): ~30k fact rows.
+BENCH_SF = 0.05
+BENCH_SEED = 0
+
+
+def _driver_memory() -> str:
+    """``SPARK_DRIVER_MEM``, else half of MemTotal in whole GiB clamped to 2..8."""
+    if mem := os.environ.get("SPARK_DRIVER_MEM"):
+        return mem
+    gib = 2
+    with open("/proc/meminfo") as f:
+        for line in f:
+            if line.startswith("MemTotal:"):
+                gib = int(line.split()[1]) // (2 * 1024 * 1024)
+                break
+    return f"{min(8, max(2, gib))}g"
 
 
 def make_spark(app: str = "repro-job") -> SparkSession:
-    """Standalone session for job entrypoints, mirroring conftest's config."""
+    """The one SparkSession set-up, shared by the tests and the job entrypoints.
+
+    Master (``SPARK_MASTER``, default ``local[*]``) and driver memory are read
+    at JVM launch, so they go into ``PYSPARK_SUBMIT_ARGS`` before the first
+    session starts. Broadcast joins are off so the engine's joins take the
+    shuffle path even on tiny inputs.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '40g')} "
+        f"--driver-memory {_driver_memory()} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
@@ -176,7 +195,7 @@ def table2_rows(
 #: Cap on the number of single-aggregate Spark queries actually executed per
 #: cell; the full-batch time is extrapolated from the measured per-query rate
 #: and reported in a clearly-labelled column (no silent truncation).
-SPARK_1AGG_CAP = int(os.environ.get("REPRO_SPARK_1AGG_CAP", "40"))
+SPARK_1AGG_CAP = 40
 
 
 def _single_aggregate_queries(queries):

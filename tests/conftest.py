@@ -1,7 +1,6 @@
-"""Shared fixtures: tuned Spark session, per-dataset bundles at test SF."""
+"""Shared fixtures: per-dataset bundles at test SF."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import pandas as pd
@@ -13,15 +12,7 @@ from repro.core.engine import LMFAO
 from repro.datasets import all_datasets
 from repro.datasets.common import DatasetSpec
 
-SF_TEST = float(os.environ.get("REPRO_TEST_SF", "0.004"))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _tune_spark(spark: SparkSession):
-    """Local-mode tuning: tiny inputs don't need 64 shuffle partitions."""
-    spark.sparkContext.setLogLevel("ERROR")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    return spark
+SF_TEST = 0.004
 
 
 @dataclass
@@ -50,7 +41,7 @@ def _make_bundle(spark: SparkSession, spec: DatasetSpec) -> Bundle:
 
 
 @pytest.fixture(scope="session")
-def data(spark, _tune_spark) -> dict[str, Bundle]:
+def data(spark) -> dict[str, Bundle]:
     """One bundle per evaluation dataset, built once per session."""
     return {
         name: _make_bundle(spark, spec) for name, spec in all_datasets().items()

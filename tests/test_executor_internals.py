@@ -6,15 +6,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.apps.dtree import Node, compute_thresholds, node_queries
 from repro.core.engine import LMFAO, result_size_mb
 from repro.core.executor import _used_source_columns
-from repro.core.expr import count, ident, sum_of
+from repro.core.expr import count, delta, ident, sum_of
 from repro.core.join_tree import JoinTree
 from repro.core.query import Query
 from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
+from repro.core.sql import render_query_sql
 from repro.core.views import ViewRegistry, decompose_query
 from repro.datasets import FAVORITA
+from repro.oracle import assert_equivalent
 
 
 def test_used_source_columns_prunes(favorita):
@@ -34,6 +37,34 @@ def test_used_source_columns_includes_factor_attrs(favorita):
     oil_view = [v for v in reg.views if v.source == "Oil"][0]
     used = _used_source_columns(oil_view, reg.views, FAVORITA.tree())
     assert set(used) == {"date", "price"}
+
+
+def test_shared_base_join(spark, favorita):
+    """Sibling nodes of a tree level emit query views with one incoming
+    signature; the executor persists their base join once and both views
+    aggregate it, and every result still matches the oracle."""
+    spec = favorita.spec
+    cont = spec.continuous_features()
+    cats = tuple(c for c in spec.cm_cats if c != spec.label)
+    thresholds = compute_thresholds(favorita.relations, spec.db, cont, 5)
+    a = cont[0]
+    t = thresholds[a][len(thresholds[a]) // 2]
+    siblings = [Node(1, (delta(a, "<=", t),), 1), Node(2, (delta(a, ">", t),), 1)]
+    queries = [
+        q
+        for nd in siblings
+        for q in node_queries(nd, cont, cats, spec.label, thresholds, "regression")
+    ]
+    plan = favorita.engine.compile(queries)
+    run = favorita.engine.run(spark, favorita.relations, plan)
+    try:
+        # one extra cached DataFrame per shared base join
+        assert len(run._cached) > len(plan.views)
+        for q in queries:
+            sql = render_query_sql(spec.tree(), q)
+            assert_equivalent(run[q.name], sql, **favorita.pandas)
+    finally:
+        run.cleanup()
 
 
 @pytest.fixture(scope="module")
